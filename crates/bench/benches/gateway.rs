@@ -111,13 +111,13 @@ fn main() {
         // And the warmed *fused* per-item service time at `MAX_BATCH` —
         // the upper bound any serving tier could sustain.
         let batch: Vec<Tensor> = (0..MAX_BATCH).map(|i| pool[i % pool.len()].clone()).collect();
-        let mut batch_outs: Vec<Tensor> = Vec::new();
-        session.infer_batch(&batch, &mut batch_outs).expect("fused warmup");
+        let mut batch_outs = vec![Tensor::empty(); batch.len()];
+        session.infer_batch_into(&batch, &mut batch_outs).expect("fused warmup");
         let mut fused_service = Duration::MAX;
         for _ in 0..6 {
             let t0 = Instant::now();
             for _ in 0..2 {
-                session.infer_batch(&batch, &mut batch_outs).expect("fused calibration");
+                session.infer_batch_into(&batch, &mut batch_outs).expect("fused calibration");
             }
             fused_service = fused_service.min(t0.elapsed() / (2 * MAX_BATCH as u32));
         }

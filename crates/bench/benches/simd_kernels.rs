@@ -29,7 +29,7 @@ use pbqp_dnn_gemm::{Gemm, GemmKind, QuantGemm, Trans};
 use pbqp_dnn_graph::models::micro_resnet;
 use pbqp_dnn_graph::ConvScenario;
 use pbqp_dnn_primitives::registry::{full_library, mixed_precision_library, Registry};
-use pbqp_dnn_runtime::{Executor, Weights};
+use pbqp_dnn_runtime::{Parallelism, Schedule, Weights};
 use pbqp_dnn_select::{Optimizer, Strategy};
 use pbqp_dnn_tensor::transform::quantize_dynamic_into;
 use pbqp_dnn_tensor::{DType, KernelTensor, Layout, Tensor};
@@ -115,7 +115,7 @@ fn im2col_conv_rows(timer: &mut Bench) -> (u128, u128) {
 }
 
 /// micro_resnet end to end: the f32-only optimum vs the int8-island
-/// plan, both served on this host through `run_into`.
+/// plan, both served on this host through `Schedule::run_into`.
 fn end_to_end_rows(timer: &mut Bench) -> (u128, u128) {
     let net = micro_resnet();
     let cost = AnalyticCost::new(MachineModel::arm_a57_like(), 1);
@@ -129,17 +129,21 @@ fn end_to_end_rows(timer: &mut Bench) -> (u128, u128) {
     let (c, h, w) = net.infer_shapes().expect("valid model")[0];
     let input = Tensor::random(c, h, w, Layout::Chw, 9);
     let mut out = Tensor::empty();
+    let serial = Parallelism::serial();
 
-    let f32_exec = Executor::new(&net, &f32_plan, &f32_reg, &weights);
-    let island_exec = Executor::new(&net, &island_plan, &island_reg, &weights);
+    let f32_schedule = Schedule::compile(&net, &f32_plan, &f32_reg, &weights).expect("compiles");
+    let island_schedule =
+        Schedule::compile(&net, &island_plan, &island_reg, &weights).expect("compiles");
+    let mut f32_bufs = f32_schedule.make_buffers();
+    let mut island_bufs = island_schedule.make_buffers();
     let f32_ns = timer
         .run("micro_resnet f32-only plan run_into", || {
-            f32_exec.run_into(&input, &mut out, 1).expect("runs");
+            f32_schedule.run_into(&input, &mut f32_bufs, &mut out, serial).expect("runs");
         })
         .as_nanos();
     let island_ns = timer
         .run("micro_resnet int8-island plan run_into", || {
-            island_exec.run_into(&input, &mut out, 1).expect("runs");
+            island_schedule.run_into(&input, &mut island_bufs, &mut out, serial).expect("runs");
         })
         .as_nanos();
     (f32_ns, island_ns)

@@ -12,7 +12,7 @@ use std::time::Instant;
 use pbqp_dnn_bench::registry;
 use pbqp_dnn_cost::MeasuredCost;
 use pbqp_dnn_graph::models;
-use pbqp_dnn_runtime::{Executor, Weights};
+use pbqp_dnn_runtime::{Parallelism, Schedule, Weights};
 use pbqp_dnn_select::{Optimizer, Strategy};
 use pbqp_dnn_tensor::{Layout, Tensor};
 
@@ -46,12 +46,16 @@ fn main() {
         [Strategy::Pbqp, Strategy::LocalOptimalChw, Strategy::CaffeLike, Strategy::Sum2d]
     {
         let plan = opt.plan_with_table(&net, &shapes, &table, strategy).expect("alexnet plans");
-        let exec = Executor::new(&net, &plan, &reg, &weights);
+        let schedule = Schedule::compile(&net, &plan, &reg, &weights).expect("plan compiles");
+        let mut bufs = schedule.make_buffers();
+        let par = Parallelism::serial().with_intra_op(threads);
         // Warm-up pass, then the timed pass (the paper averages five; one
         // timed pass keeps the sum2d row tolerable).
-        let out = exec.run(&input, threads).expect("plan executes");
+        let mut out = Tensor::empty();
+        schedule.run_into(&input, &mut bufs, &mut out, par).expect("plan executes");
+        let mut out2 = Tensor::empty();
         let start = Instant::now();
-        let out2 = exec.run(&input, threads).expect("plan executes");
+        schedule.run_into(&input, &mut bufs, &mut out2, par).expect("plan executes");
         let ms = start.elapsed().as_secs_f64() * 1000.0;
         assert!(out.allclose(&out2, 1e-5).unwrap());
         println!("{:22} {:>14.1} {:>14.1}", strategy.label(), plan.predicted_us / 1000.0, ms);

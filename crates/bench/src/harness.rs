@@ -100,9 +100,17 @@ impl Bench {
 /// Writes a machine-readable benchmark artifact (`BENCH_*.json`) at the
 /// repository root, returning the path written. The benches use this to
 /// leave a perf trajectory the PR log can track.
+///
+/// The root is resolved at run time: two levels above the
+/// `CARGO_MANIFEST_DIR` that cargo sets when it runs a bench of this
+/// crate, or the current directory when the binary runs outside cargo.
+/// A build copied elsewhere therefore writes into its own checkout.
 pub fn write_repo_artifact(file_name: &str, contents: &str) -> std::io::Result<std::path::PathBuf> {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join(file_name);
+    let root = match std::env::var_os("CARGO_MANIFEST_DIR") {
+        Some(manifest_dir) => std::path::Path::new(&manifest_dir).join("../.."),
+        None => std::path::PathBuf::from("."),
+    };
+    let path = root.join(file_name);
     std::fs::write(&path, contents)?;
     Ok(path)
 }
@@ -131,6 +139,24 @@ mod tests {
         let d = b.run("noop", || 1 + 1);
         assert!(d <= b.results()[0].max);
         assert!(b.results()[0].min <= d);
+    }
+
+    #[test]
+    fn artifacts_land_under_the_run_time_manifest_dir() {
+        let base = std::env::temp_dir().join(format!("pbqp-dnn-harness-{}", std::process::id()));
+        let manifest_dir = base.join("crates/bench");
+        std::fs::create_dir_all(&manifest_dir).unwrap();
+        let previous = std::env::var_os("CARGO_MANIFEST_DIR");
+        std::env::set_var("CARGO_MANIFEST_DIR", &manifest_dir);
+        let written = write_repo_artifact("BENCH_TEST.json", "{}");
+        match previous {
+            Some(dir) => std::env::set_var("CARGO_MANIFEST_DIR", dir),
+            None => std::env::remove_var("CARGO_MANIFEST_DIR"),
+        }
+        written.unwrap();
+        let contents = std::fs::read_to_string(base.join("BENCH_TEST.json"));
+        std::fs::remove_dir_all(&base).unwrap();
+        assert_eq!(contents.unwrap(), "{}");
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //! For serving workloads, the [`PlanCache`] memoizes legalized plans by
 //! (graph fingerprint, strategy, cost source): repeated requests for a
 //! deployed model skip the profile and the solve entirely, and the cached
-//! `Arc<ExecutionPlan>` feeds straight into the runtime's batched
-//! executor (`Executor::run_batch` in `pbqp-dnn-runtime`).
+//! `Arc<ExecutionPlan>` feeds straight into the runtime's compiled
+//! schedule (`Schedule::compile` in `pbqp-dnn-runtime`).
 //!
 //! # Example
 //!

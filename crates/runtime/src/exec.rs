@@ -2,7 +2,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 
 use pbqp_dnn_graph::{ConvScenario, DnnGraph, GraphError, LayerKind, NodeId};
 use pbqp_dnn_primitives::registry::Registry;
@@ -18,10 +18,6 @@ use crate::faults;
 use crate::sampler::{self, SamplerState};
 use crate::weights::Weights;
 use crate::Parallelism;
-
-/// Executors recycle at most this many buffer sets; the pool vector is
-/// pre-sized so returning a set never reallocates.
-const BUFFER_POOL_CAP: usize = 64;
 
 /// Errors from plan execution.
 #[derive(Debug)]
@@ -43,9 +39,9 @@ pub enum RuntimeError {
     /// for a different graph or corrupted.
     PlanMismatch(String),
     /// A selected kernel panicked at dispatch. The unwind was contained
-    /// at the step boundary: the process, the executor and its buffer
-    /// pool all stay serviceable, and the (node, kernel) pair names the
-    /// culprit so a serving layer can quarantine it.
+    /// at the step boundary: the process and the schedule stay
+    /// serviceable, and the (node, kernel) pair names the culprit so a
+    /// serving layer can quarantine it.
     KernelPanicked {
         /// The graph node (layer name) whose step was executing.
         node: String,
@@ -74,8 +70,8 @@ pub enum RuntimeError {
         message: String,
     },
     /// A panic outside kernel dispatch (edge conversion, a worker
-    /// thread, buffer checkout, schedule compile) was contained into a
-    /// typed error instead of unwinding through the caller.
+    /// thread, schedule compile) was contained into a typed error
+    /// instead of unwinding through the caller.
     Panicked {
         /// Where the panic was contained.
         context: String,
@@ -202,9 +198,9 @@ pub struct StepMeta {
 
 /// Per-worker execution state: the pooled activation buffers, conversion
 /// staging tensors and primitive scratch workspace for one in-flight
-/// forward pass. Created by [`Schedule::make_buffers`] (or recycled from
-/// an executor's pool) — after the first run every buffer is at its
-/// steady-state size and execution performs zero heap allocations.
+/// forward pass. Created by [`Schedule::make_buffers`] — after the
+/// first run every buffer is at its steady-state size and execution
+/// performs zero heap allocations.
 ///
 /// Buffer sets are the *per-caller* half of the split execution state:
 /// one immutable [`Schedule`] shared by every thread, one `ExecBuffers`
@@ -299,7 +295,7 @@ impl BatchBuffers {
 /// registry or weights it was compiled from. One schedule (it is `Sync`)
 /// serves any number of threads, each running out of its own
 /// [`ExecBuffers`] — this split is what the front-door `Engine`/`Session`
-/// API is built on, and what [`Executor`] uses internally.
+/// API is built on.
 ///
 /// # Example
 ///
@@ -620,6 +616,19 @@ impl Schedule {
             out_conv_base,
             input_dims,
         })
+    }
+
+    /// Runs one forward pass into a fresh buffer set and output tensor —
+    /// for a plan that runs once. A serving loop keeps its buffers and
+    /// calls [`Schedule::run_into`] instead.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Schedule::run_into`].
+    pub fn run(&self, input: &Tensor, par: Parallelism) -> Result<Tensor, RuntimeError> {
+        let mut out = Tensor::empty();
+        self.run_into(input, &mut self.make_buffers(), &mut out, par)?;
+        Ok(out)
     }
 
     /// Runs one forward pass out of a caller-owned buffer set, writing
@@ -1209,298 +1218,10 @@ impl Schedule {
     }
 }
 
-/// Executes an [`ExecutionPlan`] on real tensors — the runtime counterpart
-/// of the paper's generated code (§5.2), grown into a parallel batched
-/// engine with allocation-free steady-state serving (see
-/// [`Executor::run_into`] and [`Executor::run_batch`]).
-pub struct Executor<'a> {
-    graph: &'a DnnGraph,
-    plan: &'a ExecutionPlan,
-    registry: &'a Registry,
-    weights: &'a Weights,
-    /// Memoized compiled schedule: every execution mode shares one
-    /// compilation per executor. (The schedule is owned — it holds shared
-    /// handles to primitives and kernels, not borrows of the executor.)
-    schedule: OnceLock<Schedule>,
-    /// Recycled per-worker buffer sets: activation slots, conversion
-    /// staging and primitive workspaces. Checked out per run, returned
-    /// afterwards — the steady-state serving loop allocates nothing.
-    buffers: Mutex<Vec<ExecBuffers>>,
-}
-
-impl<'a> Executor<'a> {
-    /// Binds a plan to its graph, registry and weights.
-    pub fn new(
-        graph: &'a DnnGraph,
-        plan: &'a ExecutionPlan,
-        registry: &'a Registry,
-        weights: &'a Weights,
-    ) -> Executor<'a> {
-        Executor {
-            graph,
-            plan,
-            registry,
-            weights,
-            schedule: OnceLock::new(),
-            buffers: Mutex::new(Vec::with_capacity(BUFFER_POOL_CAP)),
-        }
-    }
-
-    /// The compiled schedule, built on first use. Compilation errors
-    /// (unknown primitive, missing weights, malformed graph) are not
-    /// cached — they surface on every call.
-    fn schedule(&self) -> Result<&Schedule, RuntimeError> {
-        if let Some(s) = self.schedule.get() {
-            return Ok(s);
-        }
-        let compiled = Schedule::compile(self.graph, self.plan, self.registry, self.weights)?;
-        Ok(self.schedule.get_or_init(|| compiled))
-    }
-
-    /// Locks the recycled-buffer pool, recovering from poison: a panic
-    /// while the pool was locked discards the recycled sets (they
-    /// rebuild from the schedule on demand) and clears the poison latch,
-    /// so one bad request can never wedge the executor forever — the old
-    /// `.expect("buffer pool poisoned")` latch turned a single
-    /// mid-flight panic into a permanently dead engine.
-    fn pool(&self) -> MutexGuard<'_, Vec<ExecBuffers>> {
-        match self.buffers.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                self.buffers.clear_poison();
-                let mut g = poisoned.into_inner();
-                g.clear();
-                g
-            }
-        }
-    }
-
-    /// Checks a buffer set out of the pool (building one on first use),
-    /// runs `f`, and returns the set for the next run — unless the run
-    /// contained a panic, in which case the set is discarded (a
-    /// panicking kernel may have left buffers mid-mutation) and the next
-    /// run rebuilds a fresh one from the schedule.
-    fn with_buffers<R>(
-        &self,
-        schedule: &Schedule,
-        f: impl FnOnce(&mut ExecBuffers) -> Result<R, RuntimeError>,
-    ) -> Result<R, RuntimeError> {
-        // The checkout failpoint is evaluated *while the pool lock is
-        // held*: an injected panic here genuinely poisons the mutex,
-        // which is exactly the failure `pool()` must recover from.
-        let recycled = match catch_unwind(AssertUnwindSafe(|| {
-            let mut pool = self.pool();
-            match faults::hit(faults::BUFFER_CHECKOUT) {
-                Some(faults::Injected::Error(msg)) => {
-                    Err(RuntimeError::Injected { site: faults::BUFFER_CHECKOUT, message: msg })
-                }
-                _ => Ok(pool.pop()),
-            }
-        })) {
-            Ok(Ok(r)) => r,
-            Ok(Err(e)) => return Err(e),
-            Err(p) => {
-                return Err(RuntimeError::Panicked {
-                    context: "buffer checkout".to_owned(),
-                    message: faults::panic_message(p),
-                })
-            }
-        };
-        let mut bufs = recycled.unwrap_or_else(|| schedule.make_buffers());
-        let result = match catch_unwind(AssertUnwindSafe(|| f(&mut bufs))) {
-            Ok(r) => r,
-            Err(p) => {
-                drop(bufs);
-                return Err(RuntimeError::Panicked {
-                    context: "forward pass".to_owned(),
-                    message: faults::panic_message(p),
-                });
-            }
-        };
-        let discard = matches!(
-            result,
-            Err(RuntimeError::KernelPanicked { .. }) | Err(RuntimeError::Panicked { .. })
-        );
-        if !discard {
-            let mut pool = self.pool();
-            if pool.len() < BUFFER_POOL_CAP {
-                pool.push(bufs);
-            }
-        }
-        result
-    }
-
-    /// Runs one forward pass. `input` must be the canonical-CHW network
-    /// input; the plan's input-conversion chain is applied automatically.
-    /// Returns the output of the last layer in topological order.
-    ///
-    /// `threads` is the intra-op worker count handed to each primitive;
-    /// the graph itself is walked serially. Use [`Executor::run_with`]
-    /// for inter-op (wavefront) parallelism, [`Executor::run_batch`] for
-    /// whole-batch amortization, and [`Executor::run_into`] for the
-    /// allocation-free serving loop.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph, primitive, transformation and weight errors.
-    pub fn run(&self, input: &Tensor, threads: usize) -> Result<Tensor, RuntimeError> {
-        self.run_with(input, Parallelism::serial().with_intra_op(threads))
-    }
-
-    /// [`Executor::run`] writing into a caller-recycled output tensor —
-    /// the steady-state serving API. After one warmup run (which settles
-    /// pooled buffer and workspace capacities), serial calls perform
-    /// **zero heap allocations**: activations live in liveness-pooled
-    /// slots, primitive scratch in bump arenas, and the output lands in
-    /// `out`'s existing storage.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph, primitive, transformation and weight errors.
-    pub fn run_into(
-        &self,
-        input: &Tensor,
-        out: &mut Tensor,
-        threads: usize,
-    ) -> Result<(), RuntimeError> {
-        self.run_with_into(input, out, Parallelism::serial().with_intra_op(threads))
-    }
-
-    /// Runs one forward pass under an explicit [`Parallelism`] mapping.
-    ///
-    /// With `inter_op > 1` the executor walks the plan's DAG in wavefront
-    /// levels and runs independent nodes (e.g. the branches of an
-    /// inception module) concurrently on scoped threads. Outputs are
-    /// bit-identical to [`Parallelism::serial`]: scheduling never changes
-    /// any kernel's per-element accumulation order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph, primitive, transformation and weight errors.
-    pub fn run_with(&self, input: &Tensor, par: Parallelism) -> Result<Tensor, RuntimeError> {
-        let mut out = Tensor::empty();
-        self.run_with_into(input, &mut out, par)?;
-        Ok(out)
-    }
-
-    /// [`Executor::run_with`] writing into a caller-recycled output
-    /// tensor (see [`Executor::run_into`] for the zero-allocation
-    /// contract of the serial configuration).
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph, primitive, transformation and weight errors.
-    pub fn run_with_into(
-        &self,
-        input: &Tensor,
-        out: &mut Tensor,
-        par: Parallelism,
-    ) -> Result<(), RuntimeError> {
-        let schedule = self.schedule()?;
-        self.with_buffers(schedule, |bufs| schedule.run_into(input, bufs, out, par))
-    }
-
-    /// Runs one plan over a whole batch of inputs, amortizing schedule
-    /// compilation across all of them and partitioning items over
-    /// `par.inter_op` worker threads (each item itself executes with
-    /// `par.intra_op` primitive threads).
-    ///
-    /// Outputs are returned in input order and are bit-identical to
-    /// calling [`Executor::run`] per item: batch items never share
-    /// accumulators, so the partitioning cannot change any result.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (in input order) item's error, if any.
-    pub fn run_batch(
-        &self,
-        inputs: &[Tensor],
-        par: Parallelism,
-    ) -> Result<Vec<Tensor>, RuntimeError> {
-        let mut outs = Vec::new();
-        self.run_batch_into(inputs, &mut outs, par)?;
-        Ok(outs)
-    }
-
-    /// [`Executor::run_batch`] writing into caller-recycled output
-    /// tensors: `outs` is resized to `inputs.len()` and each slot's
-    /// storage is reused. With serial [`Parallelism`] a warmed engine
-    /// serves the whole batch without heap allocations.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (in input order) item's error, if any.
-    pub fn run_batch_into(
-        &self,
-        inputs: &[Tensor],
-        outs: &mut Vec<Tensor>,
-        par: Parallelism,
-    ) -> Result<(), RuntimeError> {
-        let schedule = self.schedule()?;
-        // Validate the whole batch up front: one shape-mismatched
-        // member is a typed error before any item executes.
-        for input in inputs {
-            schedule.check_input(input)?;
-        }
-        if outs.len() != inputs.len() {
-            outs.resize_with(inputs.len(), Tensor::empty);
-        }
-        if inputs.is_empty() {
-            return Ok(());
-        }
-        let workers = par.inter_op.min(inputs.len());
-        if workers <= 1 {
-            return self.with_buffers(schedule, |bufs| {
-                for (input, out) in inputs.iter().zip(outs.iter_mut()) {
-                    schedule.execute_serial(input, par.intra_op, bufs)?;
-                    schedule.finish_output(bufs, out)?;
-                }
-                Ok(())
-            });
-        }
-        let per = inputs.len().div_ceil(workers);
-        let results: Vec<Result<(), RuntimeError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = inputs
-                .chunks(per)
-                .zip(outs.chunks_mut(per))
-                .map(|(in_chunk, out_chunk)| {
-                    scope.spawn(move || {
-                        self.with_buffers(schedule, |bufs| {
-                            for (input, out) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                                schedule.execute_serial(input, par.intra_op, bufs)?;
-                                schedule.finish_output(bufs, out)?;
-                            }
-                            Ok(())
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|p| {
-                        Err(RuntimeError::Panicked {
-                            context: "batch worker".to_owned(),
-                            message: faults::panic_message(p),
-                        })
-                    })
-                })
-                .collect()
-        });
-        results.into_iter().collect()
-    }
-}
-
-impl fmt::Debug for Executor<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Executor").field("nodes", &self.graph.len()).finish()
-    }
-}
-
 /// Applies one representation-transformation hop under the containment
 /// contract: quantize/dequantize hops evaluate the `edge.quant`
 /// failpoint, and a panicking conversion is contained into a typed
-/// error instead of unwinding through the executor. The success path is
+/// error instead of unwinding through the schedule. The success path is
 /// one disarmed-failpoint atomic load plus the conversion itself — no
 /// allocation.
 fn apply_hop(src: &Tensor, hop: ReprTransform, dst: &mut Tensor) -> Result<(), RuntimeError> {
@@ -1615,7 +1336,8 @@ mod tests {
         strategies.extend(Strategy::family_bars());
         for strategy in strategies {
             let plan = opt.plan(&net, strategy).unwrap();
-            let out = Executor::new(&net, &plan, &reg, &weights).run(&input, 1).unwrap();
+            let schedule = Schedule::compile(&net, &plan, &reg, &weights).unwrap();
+            let out = schedule.run(&input, Parallelism::serial()).unwrap();
             let diff = out.max_abs_diff(&oracle).unwrap();
             assert!(diff < 1e-2, "{}: diff {diff}", strategy.label());
         }
@@ -1630,9 +1352,9 @@ mod tests {
         let plan = opt.plan(&net, Strategy::Pbqp).unwrap();
         let weights = Weights::random(&net, 21);
         let input = Tensor::random(4, 12, 12, Layout::Chw, 22);
-        let exec = Executor::new(&net, &plan, &reg, &weights);
-        let one = exec.run(&input, 1).unwrap();
-        let four = exec.run(&input, 4).unwrap();
+        let schedule = Schedule::compile(&net, &plan, &reg, &weights).unwrap();
+        let one = schedule.run(&input, Parallelism::serial()).unwrap();
+        let four = schedule.run(&input, Parallelism::serial().with_intra_op(4)).unwrap();
         assert!(one.allclose(&four, 1e-4).unwrap());
     }
 
@@ -1646,36 +1368,11 @@ mod tests {
         let input = Tensor::random(4, 12, 12, Layout::Chw, 32);
         for strategy in [Strategy::Pbqp, Strategy::VendorLike { vector_width: 8 }] {
             let plan = opt.plan(&net, strategy).unwrap();
-            let exec = Executor::new(&net, &plan, &reg, &weights);
-            let serial = exec.run_with(&input, Parallelism::serial()).unwrap();
-            let wave = exec.run_with(&input, Parallelism::serial().with_inter_op(4)).unwrap();
+            let schedule = Schedule::compile(&net, &plan, &reg, &weights).unwrap();
+            let serial = schedule.run(&input, Parallelism::serial()).unwrap();
+            let wave = schedule.run(&input, Parallelism::serial().with_inter_op(4)).unwrap();
             assert_eq!(serial.data(), wave.data(), "{}", strategy.label());
             assert_eq!(serial.layout(), wave.layout());
-        }
-    }
-
-    #[test]
-    fn run_batch_is_bit_identical_to_serial_runs_in_input_order() {
-        let net = mini_inception();
-        let reg = Registry::new(full_library());
-        let cost = AnalyticCost::new(MachineModel::intel_haswell_like(), 1);
-        let opt = Optimizer::new(&reg, &cost);
-        let plan = opt.plan(&net, Strategy::Pbqp).unwrap();
-        let weights = Weights::random(&net, 41);
-        let exec = Executor::new(&net, &plan, &reg, &weights);
-        let inputs: Vec<Tensor> =
-            (0..9).map(|i| Tensor::random(4, 12, 12, Layout::Chw, 100 + i)).collect();
-        for par in [
-            Parallelism::serial(),
-            Parallelism::serial().with_inter_op(3),
-            Parallelism::serial().with_inter_op(16),
-        ] {
-            let batch = exec.run_batch(&inputs, par).unwrap();
-            assert_eq!(batch.len(), inputs.len());
-            for (input, out) in inputs.iter().zip(&batch) {
-                let one = exec.run(input, 1).unwrap();
-                assert_eq!(one.data(), out.data(), "{par}");
-            }
         }
     }
 
@@ -1753,36 +1450,15 @@ mod tests {
         let exec_strategies = [Strategy::Pbqp, Strategy::CaffeLike];
         for strategy in exec_strategies {
             let plan = opt.plan(&net, strategy).unwrap();
-            let exec = Executor::new(&net, &plan, &reg, &weights);
+            let schedule = Schedule::compile(&net, &plan, &reg, &weights).unwrap();
+            let mut bufs = schedule.make_buffers();
             let mut out = Tensor::empty();
             for seed in 0..4 {
                 let input = Tensor::random(4, 12, 12, Layout::Chw, 200 + seed);
-                let fresh = exec.run(&input, 1).unwrap();
-                exec.run_into(&input, &mut out, 1).unwrap();
+                let fresh = schedule.run(&input, Parallelism::serial()).unwrap();
+                schedule.run_into(&input, &mut bufs, &mut out, Parallelism::serial()).unwrap();
                 assert_eq!(out.data(), fresh.data(), "{} seed {seed}", strategy.label());
                 assert_eq!(out.layout(), fresh.layout());
-            }
-        }
-    }
-
-    #[test]
-    fn run_batch_into_recycles_outputs() {
-        let net = mini_inception();
-        let reg = Registry::new(full_library());
-        let cost = AnalyticCost::new(MachineModel::intel_haswell_like(), 1);
-        let opt = Optimizer::new(&reg, &cost);
-        let plan = opt.plan(&net, Strategy::Pbqp).unwrap();
-        let weights = Weights::random(&net, 61);
-        let exec = Executor::new(&net, &plan, &reg, &weights);
-        let mut outs = Vec::new();
-        for round in 0..3 {
-            let inputs: Vec<Tensor> =
-                (0..5).map(|i| Tensor::random(4, 12, 12, Layout::Chw, round * 10 + i)).collect();
-            exec.run_batch_into(&inputs, &mut outs, Parallelism::serial()).unwrap();
-            assert_eq!(outs.len(), inputs.len());
-            for (input, out) in inputs.iter().zip(&outs) {
-                let one = exec.run(input, 1).unwrap();
-                assert_eq!(one.data(), out.data(), "round {round}");
             }
         }
     }
@@ -1803,8 +1479,8 @@ mod tests {
         let weights = Weights::random(&net, 81);
         let input = Tensor::random(16, 20, 20, Layout::Chw, 82);
         let oracle = reference_forward(&net, &weights, &input);
-        let exec = Executor::new(&net, &plan, &reg, &weights);
-        let out = exec.run(&input, 1).unwrap();
+        let schedule = Schedule::compile(&net, &plan, &reg, &weights).unwrap();
+        let out = schedule.run(&input, Parallelism::serial()).unwrap();
         // Int8 error budget: per-tap half-steps across the 16·5·5 = 400
         // taps of the quantized layer, diluted through the f32 tail.
         let maxabs = oracle.data().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
@@ -1814,18 +1490,19 @@ mod tests {
         // Recycled serving and wavefront modes are bit-identical to the
         // plain run on the same plan.
         let mut recycled = Tensor::empty();
-        exec.run_into(&input, &mut recycled, 1).unwrap();
+        let mut bufs = schedule.make_buffers();
+        schedule.run_into(&input, &mut bufs, &mut recycled, Parallelism::serial()).unwrap();
         assert_eq!(recycled.data(), out.data());
-        let wave = exec.run_with(&input, Parallelism::serial().with_inter_op(4)).unwrap();
+        let wave = schedule.run(&input, Parallelism::serial().with_inter_op(4)).unwrap();
         assert_eq!(wave.data(), out.data());
-        let four = exec.run(&input, 4).unwrap();
+        let four = schedule.run(&input, Parallelism::serial().with_intra_op(4)).unwrap();
         assert_eq!(four.data(), out.data(), "int8 GEMM threading must stay bit-exact");
     }
 
     #[test]
     fn int8_terminal_layer_still_delivers_f32_output() {
         use pbqp_dnn_primitives::registry::mixed_precision_library;
-        // A network ending in the int8-friendly conv: the executor must
+        // A network ending in the int8-friendly conv: the schedule must
         // apply the plan's output dequantization so callers always get
         // f32, exactly as before mixed precision existed.
         let mut g = DnnGraph::new();
@@ -1841,8 +1518,8 @@ mod tests {
         assert!(!plan.output_conversion.is_empty(), "precondition: int8 sink\n{plan}");
         let weights = Weights::random(&g, 91);
         let input = Tensor::random(16, 20, 20, Layout::Chw, 92);
-        let exec = Executor::new(&g, &plan, &reg, &weights);
-        let out = exec.run(&input, 1).unwrap();
+        let schedule = Schedule::compile(&g, &plan, &reg, &weights).unwrap();
+        let out = schedule.run(&input, Parallelism::serial()).unwrap();
         assert_eq!(out.dtype(), pbqp_dnn_tensor::DType::F32);
         let oracle = reference_forward(&g, &weights, &input);
         let maxabs = oracle.data().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
@@ -1850,10 +1527,19 @@ mod tests {
         assert!(diff < 0.05 * maxabs + 0.05, "diff {diff} vs maxabs {maxabs}");
         // Recycled serving path agrees bit-for-bit.
         let mut recycled = Tensor::empty();
-        exec.run_into(&input, &mut recycled, 1).unwrap();
+        let mut bufs = schedule.make_buffers();
+        schedule.run_into(&input, &mut bufs, &mut recycled, Parallelism::serial()).unwrap();
         assert_eq!(recycled.data(), out.data());
         // Batch path too.
-        let batch = exec.run_batch(std::slice::from_ref(&input), Parallelism::serial()).unwrap();
+        let mut batch = [Tensor::empty()];
+        schedule
+            .run_batch_fused_into(
+                std::slice::from_ref(&input),
+                &mut BatchBuffers::new(),
+                &mut batch,
+                1,
+            )
+            .unwrap();
         assert_eq!(batch[0].data(), out.data());
     }
 
@@ -1867,8 +1553,7 @@ mod tests {
         let opt = Optimizer::new(&reg, &cost);
         let plan = opt.plan(&net, Strategy::Pbqp).unwrap();
         let weights = Weights::random(&net, 71);
-        let exec = Executor::new(&net, &plan, &reg, &weights);
-        let schedule = exec.schedule().unwrap();
+        let schedule = Schedule::compile(&net, &plan, &reg, &weights).unwrap();
         assert!(
             schedule.buf_elems.len() < net.len(),
             "{} slots for {} nodes",
@@ -1885,8 +1570,8 @@ mod tests {
         let opt = Optimizer::new(&reg, &cost);
         let plan = opt.plan(&net, Strategy::Sum2d).unwrap();
         let weights = Weights::random(&net, 1);
-        let exec = Executor::new(&net, &plan, &reg, &weights);
-        assert!(exec.run_batch(&[], Parallelism::available()).unwrap().is_empty());
+        let schedule = Schedule::compile(&net, &plan, &reg, &weights).unwrap();
+        schedule.run_batch_fused_into(&[], &mut BatchBuffers::new(), &mut [], 1).unwrap();
     }
 
     #[test]
@@ -1897,10 +1582,11 @@ mod tests {
         let plan = Optimizer::new(&reg, &cost).plan(&net, Strategy::Sum2d).unwrap();
         let weights = Weights::random(&net, 1);
         let bad = Tensor::random(4, 12, 12, Layout::Hwc, 2);
-        let err = Executor::new(&net, &plan, &reg, &weights).run(&bad, 1).unwrap_err();
+        let schedule = Schedule::compile(&net, &plan, &reg, &weights).unwrap();
+        let err = schedule.run(&bad, Parallelism::serial()).unwrap_err();
         assert!(matches!(err, RuntimeError::BadInput(_)));
-        let err = Executor::new(&net, &plan, &reg, &weights)
-            .run_batch(&[bad], Parallelism::serial())
+        let err = schedule
+            .run_batch_fused_into(&[bad], &mut BatchBuffers::new(), &mut [Tensor::empty()], 1)
             .unwrap_err();
         assert!(matches!(err, RuntimeError::BadInput(_)));
     }
@@ -1913,7 +1599,8 @@ mod tests {
         let plan = Optimizer::new(&reg, &cost).plan(&net, Strategy::Sum2d).unwrap();
         let weights = Weights::random(&net, 1);
         let bad = Tensor::random(4, 10, 12, Layout::Chw, 2);
-        let err = Executor::new(&net, &plan, &reg, &weights).run(&bad, 1).unwrap_err();
+        let schedule = Schedule::compile(&net, &plan, &reg, &weights).unwrap();
+        let err = schedule.run(&bad, Parallelism::serial()).unwrap_err();
         assert!(matches!(err, RuntimeError::BadInput(_)));
     }
 }

@@ -19,7 +19,6 @@
 //! |---|---|
 //! | [`KERNEL_DISPATCH`] | per-step conv/op kernel dispatch |
 //! | [`QUANT_EDGE`] | quantize/dequantize edge-chain application |
-//! | [`BUFFER_CHECKOUT`] | executor buffer-pool checkout (inside the pool lock) |
 //! | [`SCHEDULE_COMPILE`] | `Schedule::compile` entry |
 //! | [`ARTIFACT_READ`] | the compiled-artifact load path (facade) |
 //! | [`GATEWAY_FLUSH`] | serving-gateway batch flush, before the fused batch executes |
@@ -75,10 +74,6 @@ use std::time::Duration;
 pub const KERNEL_DISPATCH: &str = "kernel.dispatch";
 /// Quantize/dequantize hops of edge legalization chains.
 pub const QUANT_EDGE: &str = "edge.quant";
-/// Executor buffer-pool checkout — evaluated while the pool lock is
-/// held, so a `panic` action genuinely poisons the mutex and proves the
-/// pool recovers.
-pub const BUFFER_CHECKOUT: &str = "buffers.checkout";
 /// `Schedule::compile` entry.
 pub const SCHEDULE_COMPILE: &str = "schedule.compile";
 /// The compiled-artifact load path (`CompiledModel::load` in the
@@ -101,7 +96,6 @@ pub const AUTOTUNE_RESOLVE: &str = "autotune.resolve";
 pub const SITES: &[&str] = &[
     KERNEL_DISPATCH,
     QUANT_EDGE,
-    BUFFER_CHECKOUT,
     SCHEDULE_COMPILE,
     ARTIFACT_READ,
     GATEWAY_FLUSH,

@@ -2,13 +2,12 @@
 
 use std::fmt;
 
-/// How the executor maps work onto OS threads.
+/// How a schedule maps work onto OS threads.
 ///
 /// Two orthogonal axes, multiplied when both are set:
 ///
-/// * **inter-op** — how many independent units run concurrently: DAG
-///   nodes within one wavefront level ([`crate::Executor::run_with`]) or
-///   batch items ([`crate::Executor::run_batch`]);
+/// * **inter-op** — how many independent DAG nodes within one wavefront
+///   level run concurrently ([`crate::Schedule::run_into`]);
 /// * **intra-op** — how many worker threads a single primitive may use
 ///   internally (GEMM row slabs, output-channel chunks, Winograd tiles).
 ///
@@ -30,7 +29,8 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Parallelism {
-    /// Independent DAG nodes / batch items executed concurrently (≥ 1).
+    /// Independent DAG nodes of one wavefront level executed
+    /// concurrently (≥ 1).
     pub inter_op: usize,
     /// Worker threads inside one primitive (≥ 1).
     pub intra_op: usize,
@@ -49,8 +49,7 @@ impl Parallelism {
     }
 
     /// Inter-op parallelism across all available cores, serial inside
-    /// each primitive — the preferred configuration for branchy graphs
-    /// and batched serving.
+    /// each primitive — wavefront execution for branchy graphs.
     pub fn available() -> Parallelism {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         Parallelism { inter_op: cores, intra_op: 1 }

@@ -1,6 +1,6 @@
-//! Executor-level fault containment: injected kernel panics and errors
-//! are typed, never process-fatal, the buffer pool survives poisoning,
-//! and the next un-injected request is bit-identical to the reference.
+//! Schedule-level fault containment: injected kernel panics and errors
+//! are typed, never process-fatal, and the next un-injected request is
+//! bit-identical to the reference.
 //!
 //! Failpoints are process-global, so every test serializes on one guard
 //! and disarms on entry; the facade-level sweep lives in the workspace
@@ -11,7 +11,7 @@ use std::sync::{Mutex, MutexGuard};
 use pbqp_dnn_cost::{AnalyticCost, MachineModel};
 use pbqp_dnn_graph::{ConvScenario, DnnGraph, Layer, LayerKind};
 use pbqp_dnn_primitives::registry::{full_library, mixed_precision_library, Registry};
-use pbqp_dnn_runtime::{faults, Executor, Parallelism, RuntimeError, Schedule, Weights};
+use pbqp_dnn_runtime::{faults, BatchBuffers, Parallelism, RuntimeError, Schedule, Weights};
 use pbqp_dnn_select::{Optimizer, Strategy};
 use pbqp_dnn_tensor::{Layout, Tensor};
 
@@ -74,33 +74,45 @@ fn fixture() -> Fixture {
     Fixture { net, reg, weights, plan, input }
 }
 
+impl Fixture {
+    fn schedule(&self) -> Schedule {
+        Schedule::compile(&self.net, &self.plan, &self.reg, &self.weights).unwrap()
+    }
+}
+
+/// One serial forward pass.
+fn run(schedule: &Schedule, input: &Tensor) -> Result<Tensor, RuntimeError> {
+    schedule.run(input, Parallelism::serial())
+}
+
 #[test]
 fn injected_kernel_panic_is_contained_under_all_three_modes() {
     let _g = guard();
     let fx = fixture();
-    let exec = Executor::new(&fx.net, &fx.plan, &fx.reg, &fx.weights);
-    let baseline = exec.run(&fx.input, 1).unwrap();
+    let schedule = fx.schedule();
+    let baseline = run(&schedule, &fx.input).unwrap();
     let batch: Vec<Tensor> = (0..4).map(|_| fx.input.clone()).collect();
 
-    type Mode<'a> = (&'a str, Box<dyn Fn(&Executor) -> Result<(), RuntimeError> + 'a>);
+    type Mode<'a> = (&'a str, Box<dyn Fn(&Schedule) -> Result<(), RuntimeError> + 'a>);
     let modes: Vec<Mode> = vec![
-        ("serial", Box::new(|e: &Executor| e.run(&fx.input, 1).map(|_| ()))),
+        ("serial", Box::new(|s: &Schedule| run(s, &fx.input).map(|_| ()))),
         (
             "wavefront",
-            Box::new(|e: &Executor| {
-                e.run_with(&fx.input, Parallelism::serial().with_inter_op(4)).map(|_| ())
+            Box::new(|s: &Schedule| {
+                s.run(&fx.input, Parallelism::serial().with_inter_op(4)).map(|_| ())
             }),
         ),
         (
             "batch",
-            Box::new(|e: &Executor| {
-                e.run_batch(&batch, Parallelism::serial().with_inter_op(4)).map(|_| ())
+            Box::new(|s: &Schedule| {
+                let mut outs = vec![Tensor::empty(); batch.len()];
+                s.run_batch_fused_into(&batch, &mut BatchBuffers::new(), &mut outs, 1)
             }),
         ),
     ];
-    for (mode, run) in modes {
+    for (mode, run_mode) in modes {
         faults::arm(faults::KERNEL_DISPATCH, "every:panic(injected chaos)").unwrap();
-        let err = quiet(|| run(&exec)).unwrap_err();
+        let err = quiet(|| run_mode(&schedule)).unwrap_err();
         match err {
             RuntimeError::KernelPanicked { node, kernel, message } => {
                 assert!(!node.is_empty() && !kernel.is_empty(), "{mode}");
@@ -113,9 +125,9 @@ fn injected_kernel_panic_is_contained_under_all_three_modes() {
             other => panic!("{mode}: expected a contained panic, got {other}"),
         }
         faults::disarm_all();
-        // The executor (and its buffer pool) must be fully serviceable,
-        // bit-identical to the pre-fault baseline.
-        let after = exec.run(&fx.input, 1).unwrap();
+        // The schedule must be fully serviceable, bit-identical to the
+        // pre-fault baseline.
+        let after = run(&schedule, &fx.input).unwrap();
         assert_eq!(after.data(), baseline.data(), "{mode}: post-fault output diverged");
     }
 }
@@ -124,10 +136,10 @@ fn injected_kernel_panic_is_contained_under_all_three_modes() {
 fn injected_dispatch_error_is_typed_with_attribution() {
     let _g = guard();
     let fx = fixture();
-    let exec = Executor::new(&fx.net, &fx.plan, &fx.reg, &fx.weights);
-    let baseline = exec.run(&fx.input, 1).unwrap();
+    let schedule = fx.schedule();
+    let baseline = run(&schedule, &fx.input).unwrap();
     faults::arm(faults::KERNEL_DISPATCH, "nth(2):error(flaky kernel)").unwrap();
-    let err = exec.run(&fx.input, 1).unwrap_err();
+    let err = run(&schedule, &fx.input).unwrap_err();
     match err {
         RuntimeError::KernelFailed { node, kernel, message } => {
             assert!(!node.is_empty() && !kernel.is_empty());
@@ -136,33 +148,7 @@ fn injected_dispatch_error_is_typed_with_attribution() {
         other => panic!("expected KernelFailed, got {other}"),
     }
     faults::disarm_all();
-    assert_eq!(exec.run(&fx.input, 1).unwrap().data(), baseline.data());
-}
-
-#[test]
-fn poisoned_buffer_pool_recovers_instead_of_latching() {
-    let _g = guard();
-    let fx = fixture();
-    let exec = Executor::new(&fx.net, &fx.plan, &fx.reg, &fx.weights);
-    let baseline = exec.run(&fx.input, 1).unwrap();
-
-    // The checkout failpoint fires while the pool lock is held, so the
-    // first injected panic genuinely poisons the mutex.
-    faults::arm(faults::BUFFER_CHECKOUT, "every:panic(poison the pool)").unwrap();
-    for round in 0..2 {
-        // Round 0 poisons; round 1 proves the poisoned lock is
-        // recovered and the panic is still typed, not a latch.
-        let err = quiet(|| exec.run(&fx.input, 1)).unwrap_err();
-        match err {
-            RuntimeError::Panicked { context, message } => {
-                assert_eq!(context, "buffer checkout", "round {round}");
-                assert!(message.contains("poison the pool"), "round {round}");
-            }
-            other => panic!("round {round}: expected contained checkout panic, got {other}"),
-        }
-    }
-    faults::disarm_all();
-    assert_eq!(exec.run(&fx.input, 1).unwrap().data(), baseline.data());
+    assert_eq!(run(&schedule, &fx.input).unwrap().data(), baseline.data());
 }
 
 #[test]
@@ -175,17 +161,17 @@ fn quant_edge_injection_surfaces_on_mixed_precision_plans() {
     assert!(plan.quant_edge_count() >= 2, "precondition: quant edges\n{plan}");
     let weights = Weights::random(&net, 17);
     let input = Tensor::random(16, 20, 20, Layout::Chw, 18);
-    let exec = Executor::new(&net, &plan, &reg, &weights);
-    let baseline = exec.run(&input, 1).unwrap();
+    let schedule = Schedule::compile(&net, &plan, &reg, &weights).unwrap();
+    let baseline = run(&schedule, &input).unwrap();
 
     faults::arm(faults::QUANT_EDGE, "every:error(bad quant)").unwrap();
-    let err = exec.run(&input, 1).unwrap_err();
+    let err = run(&schedule, &input).unwrap_err();
     assert!(
         matches!(err, RuntimeError::Injected { site, .. } if site == faults::QUANT_EDGE),
         "expected injected quant-edge error, got {err}"
     );
     faults::disarm_all();
-    assert_eq!(exec.run(&input, 1).unwrap().data(), baseline.data());
+    assert_eq!(run(&schedule, &input).unwrap().data(), baseline.data());
 }
 
 #[test]
@@ -204,28 +190,32 @@ fn schedule_compile_failpoint_is_contained_and_not_cached() {
         }
         other => panic!("expected contained compile panic, got {other}"),
     }
-    // Through the executor the compile error must not be cached: once
-    // disarmed, the same executor compiles and serves.
+    // An injected compile error is typed, and nothing of it is cached:
+    // once disarmed, the same plan compiles and serves.
     faults::arm(faults::SCHEDULE_COMPILE, "every:error(compile refused)").unwrap();
-    let exec = Executor::new(&fx.net, &fx.plan, &fx.reg, &fx.weights);
-    let err = exec.run(&fx.input, 1).unwrap_err();
+    let err = match Schedule::compile(&fx.net, &fx.plan, &fx.reg, &fx.weights) {
+        Err(e) => e,
+        Ok(_) => panic!("armed compile failpoint did not fire"),
+    };
     assert!(matches!(err, RuntimeError::Injected { site, .. } if site == faults::SCHEDULE_COMPILE));
     faults::disarm_all();
-    exec.run(&fx.input, 1).unwrap();
+    run(&fx.schedule(), &fx.input).unwrap();
 }
 
 #[test]
 fn shape_mismatched_batch_member_is_a_typed_error_before_execution() {
     let _g = guard();
     let fx = fixture();
-    let exec = Executor::new(&fx.net, &fx.plan, &fx.reg, &fx.weights);
+    let schedule = fx.schedule();
     let batch = vec![
         fx.input.clone(),
         Tensor::random(4, 10, 12, Layout::Chw, 9), // wrong dims
         fx.input.clone(),
     ];
-    let err = exec.run_batch(&batch, Parallelism::serial()).unwrap_err();
+    let mut bufs = BatchBuffers::new();
+    let mut outs = vec![Tensor::empty(); batch.len()];
+    let err = schedule.run_batch_fused_into(&batch, &mut bufs, &mut outs, 1).unwrap_err();
     assert!(matches!(err, RuntimeError::BadInput(_)), "got {err}");
-    // And the executor still serves.
-    exec.run(&fx.input, 1).unwrap();
+    // And the schedule still serves.
+    run(&schedule, &fx.input).unwrap();
 }

@@ -5,7 +5,7 @@
 //! compiler pays the PBQP solve once (and memoizes it by artifact
 //! fingerprint); the gateway admits requests into a bounded queue,
 //! coalesces whatever arrives inside the batching window into one fused
-//! [`Session::infer_batch`] call, and answers every ticket with the
+//! [`Session::infer_batch_into`] call, and answers every ticket with the
 //! generation that admitted it — bit-identical to the serial reference,
 //! as always. The manual thread-per-slice pattern this example used to
 //! demonstrate is still available (the gateway is built on it), but the

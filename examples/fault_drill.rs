@@ -22,7 +22,7 @@
 //! ```
 
 use pbqp_dnn::prelude::*;
-use pbqp_dnn::{faults, runtime::Executor};
+use pbqp_dnn::{faults, runtime::Schedule};
 
 fn main() -> Result<(), Error> {
     // `armed()` consults PBQP_DNN_FAILPOINTS on first use; an empty
@@ -94,13 +94,13 @@ fn main() -> Result<(), Error> {
     }
 
     // All clear: disarm, and prove the (possibly re-routed) engine
-    // serves bit-identically to a serial executor running its active
+    // serves bit-identically to a serial schedule running its active
     // plan.
     faults::disarm_all();
     let clean = session.infer_new(&input)?;
     let active = engine.active_plan();
-    let direct =
-        Executor::new(model.graph(), &active, model.registry(), model.weights()).run(&input, 1)?;
+    let direct = Schedule::compile(model.graph(), &active, model.registry(), model.weights())?
+        .run(&input, Parallelism::serial())?;
     assert_eq!(clean.data(), direct.data(), "post-drill serving must be deterministic");
     println!("[drill] disarmed: engine serves clean, bit-identical to its active plan");
     Ok(())

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use pbqp_dnn::cost::CostTable;
 use pbqp_dnn::prelude::*;
-use pbqp_dnn::runtime::Executor;
+use pbqp_dnn::runtime::Schedule;
 use pbqp_dnn::select::Optimizer;
 
 fn main() -> Result<(), Error> {
@@ -109,12 +109,12 @@ fn main() -> Result<(), Error> {
     );
 
     // The settled engine still serves bit-identically to a serial
-    // executor running its active plan — hot-swapping never trades away
+    // schedule running its active plan — hot-swapping never trades away
     // determinism.
     let out = session.infer_new(&input)?;
     let active = engine.active_plan();
-    let direct =
-        Executor::new(model.graph(), &active, model.registry(), model.weights()).run(&input, 1)?;
+    let direct = Schedule::compile(model.graph(), &active, model.registry(), model.weights())?
+        .run(&input, Parallelism::serial())?;
     assert_eq!(out.data(), direct.data(), "settled serving must be deterministic");
     println!("[tune] settled engine serves bit-identical to its active plan");
     Ok(())

@@ -14,7 +14,7 @@
 use pbqp_dnn::cost::{AnalyticCost, MachineModel};
 use pbqp_dnn::graph::{ConvScenario, DnnGraph, Layer, LayerKind};
 use pbqp_dnn::primitives::registry::{full_library, Registry};
-use pbqp_dnn::runtime::{reference_forward, Executor, Weights};
+use pbqp_dnn::runtime::{reference_forward, Parallelism, Schedule, Weights};
 use pbqp_dnn::select::{AssignmentKind, Optimizer, Strategy};
 use pbqp_dnn::tensor::{Layout, Tensor};
 use pbqp_dnn::Error;
@@ -60,7 +60,8 @@ fn main() -> Result<(), Error> {
     let plan = optimizer.plan(&net, Strategy::Pbqp)?;
     let weights = Weights::random(&net, 33);
     let input = Tensor::random(64, 28, 28, Layout::Chw, 44);
-    let out = Executor::new(&net, &plan, &registry, &weights).run(&input, 1)?;
+    let out =
+        Schedule::compile(&net, &plan, &registry, &weights)?.run(&input, Parallelism::serial())?;
     let oracle = reference_forward(&net, &weights, &input);
     println!("sparse plan verified: max |Δ| = {:.2e}", out.max_abs_diff(&oracle)?);
     Ok(())

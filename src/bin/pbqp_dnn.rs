@@ -10,19 +10,17 @@
 //! `plan` prints the per-layer `{L_in, P, L_out}` selection; `profile`
 //! emits the shippable text cost table (§4: "produce these cost tables
 //! before deployment, and ship them with the trained model"); `compare`
-//! evaluates every strategy; `run` executes the optimized plan on random
+//! evaluates every strategy; `run` compiles the model through the front
+//! door (`Compiler` → `Engine` → `Session`), serves one request of random
 //! data and verifies it against the reference implementation.
 
 use std::error::Error;
 use std::process::ExitCode;
 
-use pbqp_dnn_cost::{AnalyticCost, MachineModel};
-use pbqp_dnn_graph::models::{self, VggVariant};
-use pbqp_dnn_graph::DnnGraph;
-use pbqp_dnn_primitives::registry::{full_library, Registry};
-use pbqp_dnn_runtime::{reference_forward, Executor, Weights};
-use pbqp_dnn_select::{Optimizer, Strategy};
-use pbqp_dnn_tensor::{Layout, Tensor};
+use pbqp_dnn::graph::models::VggVariant;
+use pbqp_dnn::prelude::*;
+use pbqp_dnn::primitives::registry::{full_library, Registry};
+use pbqp_dnn::select::Optimizer;
 
 fn usage() -> String {
     "usage: pbqp_dnn <plan|profile|compare|run> --model <alexnet|vgg-a..vgg-e|googlenet> \
@@ -157,12 +155,19 @@ fn run() -> Result<(), Box<dyn Error>> {
             }
         }
         "run" => {
-            let plan = optimizer.plan(&net, strategy)?;
             let weights = Weights::random(&net, 0x5EED);
+            let options = CompileOptions::new()
+                .machine(machine.clone())
+                .threads(args.threads)
+                .strategy(strategy)
+                .parallelism(Parallelism::serial().with_intra_op(args.threads));
+            let model = Compiler::new(options).compile(&net, &weights)?;
+            let plan = model.plan();
             let (c, h, w) = net.infer_shapes()?[0];
             let input = Tensor::random(c, h, w, Layout::Chw, 0xDA7A);
+            let mut session = model.engine().session();
             let start = std::time::Instant::now();
-            let out = Executor::new(&net, &plan, &registry, &weights).run(&input, args.threads)?;
+            let out = session.infer_new(&input)?;
             let wall = start.elapsed().as_secs_f64() * 1000.0;
             let oracle = reference_forward(&net, &weights, &input);
             let diff = out.max_abs_diff(&oracle)?;

@@ -50,7 +50,7 @@
 //! ```
 //!
 //! The per-crate APIs stay public for power users (custom DT graphs,
-//! hand-built plans, direct [`runtime::Executor`] use), re-exported
+//! hand-built plans, direct [`runtime::Schedule`] use), re-exported
 //! under one name. The layering, bottom to top:
 //!
 //! | module | crate | role |
@@ -63,7 +63,7 @@
 //! | [`primitives`] | `pbqp-dnn-primitives` | the 70+ convolution primitives |
 //! | [`cost`] | `pbqp-dnn-cost` | analytic / measured cost sources |
 //! | [`select`] | `pbqp-dnn-select` | PBQP instance, strategies, plan cache, plan wire format |
-//! | [`runtime`] | `pbqp-dnn-runtime` | owned execution schedules, serial / wavefront / batched executor, live sampler |
+//! | [`runtime`] | `pbqp-dnn-runtime` | owned execution schedules: serial, wavefront and fused-batch runs; live sampler |
 //! | [`autotune`] | `pbqp-dnn-autotune` | online re-optimization: observed costs, background re-solve, swap policy |
 //!
 //! See the workspace `README.md` for the paper-section map and quickstart.

@@ -616,7 +616,7 @@ impl std::fmt::Debug for Engine {
 /// deliberately not `Sync` — one session per thread is the model.
 ///
 /// After the first (warmup) call settles buffer capacities,
-/// [`Session::infer`] and [`Session::infer_batch`] with serial
+/// [`Session::infer`] and [`Session::infer_batch_into`] with serial
 /// parallelism perform zero heap allocations per request. If a kernel
 /// fails mid-request the session recovers per the engine's containment
 /// contract (see the [module docs](self)); the recovery path allocates,
@@ -704,7 +704,7 @@ impl Session {
             }
             RuntimeError::Panicked { .. } => {
                 // Contained, but with no kernel to attribute (worker
-                // thread, edge conversion, buffer checkout): serve
+                // thread, edge conversion): serve
                 // degraded, nothing to quarantine.
                 self.shared.contained_panics.fetch_add(1, Ordering::Relaxed);
                 self.rebuild_bufs();
@@ -739,21 +739,6 @@ impl Session {
         let mut out = Tensor::empty();
         self.infer(input, &mut out)?;
         Ok(out)
-    }
-
-    /// Serves a whole batch in request order: `outs` is resized to
-    /// `inputs.len()` and each slot's storage is recycled. Delegates to
-    /// [`Session::infer_batch_into`] — see there for the fused execution
-    /// and containment contract.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Session::infer_batch_into`].
-    pub fn infer_batch(&mut self, inputs: &[Tensor], outs: &mut Vec<Tensor>) -> Result<(), Error> {
-        if outs.len() != inputs.len() {
-            outs.resize_with(inputs.len(), Tensor::empty);
-        }
-        self.infer_batch_into(inputs, outs)
     }
 
     /// Serves a whole batch through the **fused** execution path,
@@ -793,7 +778,7 @@ impl Session {
     ) -> Result<(), Error> {
         if inputs.is_empty() {
             return Err(RuntimeError::BadInput(
-                "empty batch: infer_batch needs at least one input".to_owned(),
+                "empty batch: infer_batch_into needs at least one input".to_owned(),
             )
             .into());
         }
@@ -867,20 +852,21 @@ mod tests {
         let mut session = model.engine().session();
         let (c, h, w) = net.infer_shapes().unwrap()[0];
 
-        let mut outs = Vec::new();
-        let err = session.infer_batch(&[], &mut outs).unwrap_err();
+        let err = session.infer_batch_into(&[], &mut []).unwrap_err();
         assert!(matches!(err, Error::Runtime(RuntimeError::BadInput(_))), "empty batch: got {err}");
 
         let good = Tensor::random(c, h, w, Layout::Chw, 7);
         let bad = Tensor::random(c, h + 1, w, Layout::Chw, 8);
-        let err = session.infer_batch(&[good.clone(), bad, good.clone()], &mut outs).unwrap_err();
+        let mut outs = vec![Tensor::empty(); 3];
+        let err =
+            session.infer_batch_into(&[good.clone(), bad, good.clone()], &mut outs).unwrap_err();
         assert!(
             matches!(err, Error::Runtime(RuntimeError::BadInput(_))),
             "mismatched member: got {err}"
         );
 
         // The session still serves after both rejections.
-        session.infer_batch(std::slice::from_ref(&good), &mut outs).unwrap();
-        assert_eq!(outs.len(), 1);
+        session.infer_batch_into(std::slice::from_ref(&good), &mut outs[..1]).unwrap();
+        assert_eq!(outs[0].dims(), *net.infer_shapes().unwrap().last().unwrap());
     }
 }

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use pbqp_dnn::cost::CostTable;
 use pbqp_dnn::prelude::*;
-use pbqp_dnn::runtime::Executor;
+use pbqp_dnn::runtime::Schedule;
 use pbqp_dnn::select::{ExecutionPlan, Optimizer};
 use pbqp_dnn::{faults, graph::NodeId};
 
@@ -163,13 +163,13 @@ fn mis_modeled_engine_converges_under_live_traffic_without_dropping_requests() {
     );
 
     // Every captured response is bit-exact against its own generation's
-    // plan executed through the serial reference executor.
+    // plan executed through a serial schedule.
     assert!(!captures.is_empty());
     let mut checked = 0;
     for (gen, i, out) in &captures {
         let Some(plan) = plan_of.get(gen) else { continue };
-        let direct = Executor::new(&net, plan, model.registry(), model.weights())
-            .run(&inputs[*i], 1)
+        let direct = Schedule::compile(&net, plan, model.registry(), model.weights())
+            .and_then(|s| s.run(&inputs[*i], Parallelism::serial()))
             .expect("generation plan executes directly");
         assert_eq!(
             out.data(),
@@ -266,8 +266,8 @@ fn quarantine_and_autotune_swaps_arbitrate_to_one_consistent_state() {
     let plan = engine.active_plan();
     let after = engine.health().plan_generation;
     if before == after {
-        let direct = Executor::new(&net, &plan, model.registry(), model.weights())
-            .run(&input, 1)
+        let direct = Schedule::compile(&net, &plan, model.registry(), model.weights())
+            .and_then(|s| s.run(&input, Parallelism::serial()))
             .expect("active plan executes directly");
         assert_eq!(
             out.data(),

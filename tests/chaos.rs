@@ -11,7 +11,7 @@
 //!   **bit-identically** to the never-injected baseline.
 //!
 //! Failpoints are process-global, so every test serializes on one guard
-//! and disarms on entry (the executor-level containment tests live in
+//! and disarms on entry (the schedule-level containment tests live in
 //! `crates/runtime/tests/containment.rs`).
 
 use std::sync::{Mutex, MutexGuard};
@@ -52,7 +52,7 @@ fn parallelism_for(mode: &str) -> Parallelism {
 
 /// Loads the artifact and serves one request (or a 3-batch) under
 /// `mode`. Every failpoint site on the load→serve path is crossed:
-/// artifact read, schedule compile, buffer checkout, kernel dispatch,
+/// artifact read, schedule compile, kernel dispatch,
 /// quant/dequant edges (the model is mixed-precision).
 fn load_and_serve(bytes: &[u8], input: &Tensor, mode: &str) -> Result<Vec<Tensor>, Error> {
     let model = CompiledModel::load(&mut &bytes[..])?;
@@ -60,8 +60,8 @@ fn load_and_serve(bytes: &[u8], input: &Tensor, mode: &str) -> Result<Vec<Tensor
     session.set_parallelism(parallelism_for(mode));
     if mode == "batch" {
         let inputs: Vec<Tensor> = (0..3).map(|_| input.clone()).collect();
-        let mut outs = Vec::new();
-        session.infer_batch(&inputs, &mut outs)?;
+        let mut outs = vec![Tensor::empty(); inputs.len()];
+        session.infer_batch_into(&inputs, &mut outs)?;
         Ok(outs)
     } else {
         Ok(vec![session.infer_new(input)?])
@@ -156,8 +156,8 @@ fn engine_degrades_gracefully_on_the_int8_island_plan_under_all_modes() {
         let served = quiet(|| {
             if *mode == "batch" {
                 let inputs: Vec<Tensor> = (0..3).map(|_| input.clone()).collect();
-                let mut outs = Vec::new();
-                session.infer_batch(&inputs, &mut outs).map(|()| outs.remove(0))
+                let mut outs = vec![Tensor::empty(); inputs.len()];
+                session.infer_batch_into(&inputs, &mut outs).map(|()| outs.remove(0))
             } else {
                 session.infer(&input, &mut out).map(|()| out.clone())
             }
@@ -181,18 +181,18 @@ fn engine_degrades_gracefully_on_the_int8_island_plan_under_all_modes() {
         assert!(health.plan_generation >= 1, "{mode}: {health:?}");
 
         // The re-planned engine serves un-injected requests normally —
-        // bit-identical to a serial executor running the same rerouted
+        // bit-identical to a serial schedule running the same rerouted
         // plan (the oracle comparison above covered correctness; int8
         // plans are not f32-oracle-tight, so this is the right check).
         let clean = session.infer_new(&input).expect("post-fault serve");
         let active = engine.active_plan();
-        let direct = pbqp_dnn::runtime::Executor::new(
+        let direct = pbqp_dnn::runtime::Schedule::compile(
             model.graph(),
             &active,
             model.registry(),
             model.weights(),
         )
-        .run(&input, 1)
+        .and_then(|s| s.run(&input, Parallelism::serial()))
         .expect("rerouted plan executes directly");
         assert_eq!(
             clean.data(),

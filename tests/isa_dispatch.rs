@@ -99,7 +99,7 @@ fn every_forced_isa_serves_the_mixed_network_and_low_tiers_match_scalar_exactly(
 fn serial_wavefront_and_session_agree_bit_for_bit_under_every_forced_isa() {
     use pbqp_dnn::cost::AnalyticCost;
     use pbqp_dnn::primitives::registry::{mixed_precision_library, Registry};
-    use pbqp_dnn::runtime::{Executor, Parallelism};
+    use pbqp_dnn::runtime::{Parallelism, Schedule};
     use pbqp_dnn::select::{Optimizer, Strategy};
 
     let net = models::micro_resnet();
@@ -108,15 +108,15 @@ fn serial_wavefront_and_session_agree_bit_for_bit_under_every_forced_isa() {
     let reg = Registry::new(mixed_precision_library());
     let cost = AnalyticCost::new(MachineModel::arm_a57_like(), 1);
     let plan = Optimizer::new(&reg, &cost).plan(&net, Strategy::Pbqp).unwrap();
-    let exec = Executor::new(&net, &plan, &reg, &weights);
+    let schedule = Schedule::compile(&net, &plan, &reg, &weights).unwrap();
     let (c, h, w) = net.infer_shapes().unwrap()[0];
     let input = Tensor::random(c, h, w, Layout::Chw, rng.next_u64());
 
     for isa in isas() {
         let _force = ForcedIsa::new(isa);
-        let serial = exec.run(&input, 1).unwrap();
+        let serial = schedule.run(&input, Parallelism::serial()).unwrap();
         let wave =
-            exec.run_with(&input, Parallelism::serial().with_inter_op(4).with_intra_op(2)).unwrap();
+            schedule.run(&input, Parallelism::serial().with_inter_op(4).with_intra_op(2)).unwrap();
         assert_eq!(serial.data(), wave.data(), "{isa}: wavefront diverged from serial");
         assert_eq!(serial.layout(), wave.layout());
     }

@@ -7,10 +7,26 @@
 
 use pbqp_dnn::cost::{AnalyticCost, MachineModel};
 use pbqp_dnn::graph::models;
+use pbqp_dnn::graph::DnnGraph;
 use pbqp_dnn::primitives::registry::{full_library, mixed_precision_library, op_library, Registry};
-use pbqp_dnn::select::{AssignmentKind, Optimizer, Strategy};
+use pbqp_dnn::select::{AssignmentKind, ExecutionPlan, Optimizer, Strategy};
 use pbqp_dnn::tensor::transform::ReprTransform;
 use pbqp_dnn::tensor::DType;
+
+/// Activation bytes crossing layer boundaries under a plan: every graph
+/// edge moves the producer's output tensor once, in the producer's
+/// output representation (int8 = 1 byte/elem, f32 = 4).
+fn activation_bytes(net: &DnnGraph, plan: &ExecutionPlan) -> usize {
+    let shapes = net.infer_shapes().unwrap();
+    plan.edges
+        .iter()
+        .map(|e| {
+            let (c, h, w) = shapes[e.from.index()];
+            let repr = plan.assignment(e.from).output_repr();
+            repr.layout.storage_len(c, h, w) * repr.dtype.bytes()
+        })
+        .sum()
+}
 
 /// The acceptance demo of first-class operator selection: with int8 op
 /// kernels in the candidate sets, an int8 island on the ARM machine model
@@ -73,6 +89,16 @@ fn int8_island_spans_relu_and_pool_without_interior_conversions() {
         pr3.quant_edge_count()
     );
     assert!(plan.predicted_us <= pr3.predicted_us + 1e-6);
+    // The same superset guarantee on micro_mixed.
+    let mixed_net = models::micro_mixed();
+    let island = Optimizer::new(&mixed_reg, &cost).plan(&mixed_net, Strategy::Pbqp).unwrap();
+    let f32_ops = Optimizer::new(&pr3_reg, &cost).plan(&mixed_net, Strategy::Pbqp).unwrap();
+    assert!(
+        island.predicted_us <= f32_ops.predicted_us + 1e-6,
+        "micro_mixed: op selection {} µs vs f32-only op kernels {} µs",
+        island.predicted_us,
+        f32_ops.predicted_us
+    );
 
     // The PBQP solve still beats every baseline strategy on the residual
     // network.
@@ -98,7 +124,7 @@ fn int8_island_spans_relu_and_pool_without_interior_conversions() {
 
 /// With the SIMD micro-kernels live (runtime dispatch, no override),
 /// every serving surface of a mixed-precision model — the raw serial
-/// `Executor`, a wavefront-parallel `Session::infer`, and the one-shot
+/// `Schedule`, a wavefront-parallel `Session::infer`, and the one-shot
 /// `Engine::infer` — produces bit-identical activations: dispatch picks
 /// one kernel per process and the int8 kernels are order-exact, so
 /// precision islands cannot introduce cross-surface drift.
@@ -106,7 +132,7 @@ fn int8_island_spans_relu_and_pool_without_interior_conversions() {
 fn session_engine_and_executor_agree_bit_for_bit_with_simd_dispatch_active() {
     use pbqp_dnn::gemm::arch;
     use pbqp_dnn::prelude::*;
-    use pbqp_dnn::runtime::Executor;
+    use pbqp_dnn::runtime::Schedule;
     use pbqp_dnn::tensor::rng::SplitMix64;
 
     assert_eq!(arch::active_isa(), arch::features().best(), "dispatch must be live");
@@ -118,28 +144,32 @@ fn session_engine_and_executor_agree_bit_for_bit_with_simd_dispatch_active() {
     let model = Compiler::new(options).compile(&net, &weights).expect("compiles");
     assert!(!model.plan().int8_layers().is_empty(), "fixture must select int8 layers");
 
-    let exec = Executor::new(model.graph(), model.plan(), model.registry(), model.weights());
+    let schedule =
+        Schedule::compile(model.graph(), model.plan(), model.registry(), model.weights()).unwrap();
     let engine = model.engine().with_parallelism(Parallelism::serial().with_inter_op(4));
     let mut session = engine.session();
     let (c, h, w) = net.infer_shapes().unwrap()[0];
     let mut out = Tensor::empty();
     for i in 0..4 {
         let input = Tensor::random(c, h, w, Layout::Chw, rng.next_u64());
-        let serial = exec.run(&input, 1).unwrap();
+        let serial = schedule.run(&input, Parallelism::serial()).unwrap();
         session.infer(&input, &mut out).expect("session serves");
-        assert_eq!(out.data(), serial.data(), "input {i}: session diverged from serial executor");
+        assert_eq!(out.data(), serial.data(), "input {i}: session diverged from serial schedule");
         assert_eq!(engine.infer(&input).unwrap().data(), serial.data(), "input {i}: engine");
     }
 }
 
 #[test]
 fn built_in_models_get_genuinely_mixed_plans() {
-    // Two (model, machine) pairs known to split: on the ARM model AlexNet
-    // keeps conv2 in f32 Winograd while the GEMM-bound layers go int8;
-    // on the Haswell model GoogleNet mixes across the inception towers.
-    let cases: Vec<(&str, pbqp_dnn::graph::DnnGraph, MachineModel)> = vec![
+    // Three (model, machine) pairs known to split: on the ARM model
+    // AlexNet keeps conv2 in f32 Winograd while the GEMM-bound layers go
+    // int8; on the Haswell model GoogleNet mixes across the inception
+    // towers, and micro_mixed quantizes its big strided conv while the
+    // pointwise tail stays f32.
+    let cases: Vec<(&str, DnnGraph, MachineModel)> = vec![
         ("AlexNet", models::alexnet(), MachineModel::arm_a57_like()),
         ("GoogleNet", models::googlenet(), MachineModel::intel_haswell_like()),
+        ("micro_mixed", models::micro_mixed(), MachineModel::intel_haswell_like()),
     ];
     for (name, net, machine) in cases {
         let mixed_reg = Registry::new(mixed_precision_library());
@@ -189,6 +219,10 @@ fn built_in_models_get_genuinely_mixed_plans() {
             plan.predicted_us,
             f32_plan.predicted_us
         );
+        // …and its int8 edges move fewer activation bytes.
+        let (mixed_bytes, f32_bytes) =
+            (activation_bytes(&net, &plan), activation_bytes(&net, &f32_plan));
+        assert!(mixed_bytes < f32_bytes, "{name}: {mixed_bytes} vs {f32_bytes} activation bytes");
 
         // Sanity on the layers the solver kept in f32: each is a genuine
         // f32 primitive with a finite profiled cost. (Their *optimality*

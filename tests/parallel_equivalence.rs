@@ -1,6 +1,6 @@
 //! Parallel-vs-serial equivalence: the wavefront scheduler and the
-//! batched executor must produce **bit-identical** outputs to the serial
-//! reference executor — not merely close. The engine only ever partitions
+//! fused batch path (`Session::infer_batch_into`) must produce
+//! **bit-identical** outputs to the serial schedule — not merely close. The engine only ever partitions
 //! work between threads; it never changes a kernel's per-element
 //! accumulation order, so exact equality is the contract.
 //!
@@ -9,14 +9,10 @@
 //! micro-AlexNet (a deep chain — wavefront levels of width 1) and a
 //! micro inception module (a branching DAG — real inter-op parallelism).
 
-use pbqp_dnn_cost::{AnalyticCost, MachineModel};
+use pbqp_dnn::prelude::*;
+use pbqp_dnn::runtime::Schedule;
+use pbqp_dnn::tensor::rng::SplitMix64;
 use pbqp_dnn_graph::models::{micro_alexnet, micro_inception};
-use pbqp_dnn_graph::DnnGraph;
-use pbqp_dnn_primitives::registry::{full_library, Registry};
-use pbqp_dnn_runtime::{Executor, Parallelism, Weights};
-use pbqp_dnn_select::{Optimizer, Strategy};
-use pbqp_dnn_tensor::rng::SplitMix64;
-use pbqp_dnn_tensor::{Layout, Tensor};
 
 fn strategies() -> Vec<Strategy> {
     let mut v = vec![
@@ -32,29 +28,49 @@ fn strategies() -> Vec<Strategy> {
     v
 }
 
+/// Compiles `net` under `options` and returns the model plus its serial
+/// reference schedule.
+fn compile(
+    net: &DnnGraph,
+    weights: &Weights,
+    options: CompileOptions,
+) -> (CompiledModel, Schedule) {
+    let model = Compiler::new(options).compile(net, weights).unwrap();
+    let schedule =
+        Schedule::compile(model.graph(), model.plan(), model.registry(), model.weights()).unwrap();
+    (model, schedule)
+}
+
+/// Serves `batch` through one fused `Session::infer_batch_into` call.
+fn fused_batch(model: &CompiledModel, batch: &[Tensor], par: Parallelism) -> Vec<Tensor> {
+    let mut session = model.engine().session();
+    session.set_parallelism(par);
+    let mut outs = vec![Tensor::empty(); batch.len()];
+    session.infer_batch_into(batch, &mut outs).unwrap();
+    outs
+}
+
 fn check_network(name: &str, net: &DnnGraph, rng: &mut SplitMix64, cases: usize) {
-    let reg = Registry::new(full_library());
-    let cost = AnalyticCost::new(MachineModel::intel_haswell_like(), 2);
-    let opt = Optimizer::new(&reg, &cost);
     let weights = Weights::random(net, rng.next_u64());
     let (c, h, w) = net.infer_shapes().unwrap()[0];
     let all = strategies();
 
     for case in 0..cases {
         let strategy = all[rng.usize(0, all.len())];
-        let plan = opt.plan(net, strategy).unwrap();
-        let exec = Executor::new(net, &plan, &reg, &weights);
         let par =
             Parallelism::serial().with_inter_op(rng.usize(1, 6)).with_intra_op(rng.usize(1, 4));
+        let (model, schedule) =
+            compile(net, &weights, CompileOptions::new().threads(2).strategy(strategy));
 
         // Serial reference for a batch of random inputs.
         let batch: Vec<Tensor> = (0..rng.usize(1, 10))
             .map(|_| Tensor::random(c, h, w, Layout::Chw, rng.next_u64()))
             .collect();
-        let serial: Vec<Tensor> = batch.iter().map(|input| exec.run(input, 1).unwrap()).collect();
+        let serial: Vec<Tensor> =
+            batch.iter().map(|input| schedule.run(input, Parallelism::serial()).unwrap()).collect();
 
         // Wavefront on the first input.
-        let wave = exec.run_with(&batch[0], par).unwrap();
+        let wave = schedule.run(&batch[0], par).unwrap();
         assert_eq!(
             wave.data(),
             serial[0].data(),
@@ -63,8 +79,8 @@ fn check_network(name: &str, net: &DnnGraph, rng: &mut SplitMix64, cases: usize)
         );
         assert_eq!(wave.layout(), serial[0].layout());
 
-        // Batched over every input.
-        let outs = exec.run_batch(&batch, par).unwrap();
+        // Fused batch over every input.
+        let outs = fused_batch(&model, &batch, par);
         assert_eq!(outs.len(), serial.len());
         for (i, (got, want)) in outs.iter().zip(&serial).enumerate() {
             assert_eq!(
@@ -80,12 +96,11 @@ fn check_network(name: &str, net: &DnnGraph, rng: &mut SplitMix64, cases: usize)
 /// The same contract with the int8 kernels in play and the runtime ISA
 /// dispatch active (no override): a mixed-precision plan's quantized
 /// islands run the host's best SIMD micro-kernels, whose integer
-/// accumulation is order-exact — so wavefront and batch must still be
-/// bit-identical to serial.
+/// accumulation is order-exact — so wavefront and fused batch must still
+/// be bit-identical to serial.
 #[test]
 fn mixed_precision_parallel_modes_are_bit_identical_with_simd_dispatch_active() {
     use pbqp_dnn::gemm::arch;
-    use pbqp_dnn::primitives::registry::mixed_precision_library;
 
     // Precondition, not an assumption: dispatch is live and reports the
     // strongest tier this host supports.
@@ -93,12 +108,10 @@ fn mixed_precision_parallel_modes_are_bit_identical_with_simd_dispatch_active() 
 
     let net = pbqp_dnn::graph::models::micro_resnet();
     let mut rng = SplitMix64::new(0x51D_D15B);
-    let reg = Registry::new(mixed_precision_library());
-    let cost = AnalyticCost::new(MachineModel::arm_a57_like(), 1);
-    let plan = Optimizer::new(&reg, &cost).plan(&net, Strategy::Pbqp).unwrap();
-    assert!(!plan.int8_layers().is_empty(), "fixture must exercise the int8 kernels");
     let weights = Weights::random(&net, rng.next_u64());
-    let exec = Executor::new(&net, &plan, &reg, &weights);
+    let options = CompileOptions::new().machine(MachineModel::arm_a57_like()).mixed_precision(true);
+    let (model, schedule) = compile(&net, &weights, options);
+    assert!(!model.plan().int8_layers().is_empty(), "fixture must exercise the int8 kernels");
     let (c, h, w) = net.infer_shapes().unwrap()[0];
 
     for case in 0..4 {
@@ -107,10 +120,11 @@ fn mixed_precision_parallel_modes_are_bit_identical_with_simd_dispatch_active() 
             .collect();
         let par =
             Parallelism::serial().with_inter_op(rng.usize(2, 6)).with_intra_op(rng.usize(1, 4));
-        let serial: Vec<Tensor> = batch.iter().map(|input| exec.run(input, 1).unwrap()).collect();
-        let wave = exec.run_with(&batch[0], par).unwrap();
+        let serial: Vec<Tensor> =
+            batch.iter().map(|input| schedule.run(input, Parallelism::serial()).unwrap()).collect();
+        let wave = schedule.run(&batch[0], par).unwrap();
         assert_eq!(wave.data(), serial[0].data(), "case {case} ({par}): wavefront diverged");
-        let outs = exec.run_batch(&batch, par).unwrap();
+        let outs = fused_batch(&model, &batch, par);
         for (i, (got, want)) in outs.iter().zip(&serial).enumerate() {
             assert_eq!(got.data(), want.data(), "case {case} item {i} ({par}): batch diverged");
         }

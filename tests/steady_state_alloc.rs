@@ -1,6 +1,7 @@
 //! Proof of the zero-allocation steady state: after one warmup run, the
-//! serving APIs (`run_into` / `run_batch_into` with serial parallelism)
-//! perform **zero** heap allocations per forward pass on micro-AlexNet —
+//! serving APIs (`Schedule::run_into` with serial parallelism,
+//! `Schedule::run_batch_fused_into`, and the `Session` entry points built
+//! on them) perform **zero** heap allocations per forward pass —
 //! activations come from liveness-pooled slots, primitive scratch from
 //! bump arenas, and outputs land in caller-recycled tensors.
 //!
@@ -20,7 +21,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use pbqp_dnn::cost::{AnalyticCost, MachineModel};
 use pbqp_dnn::graph::models::{micro_alexnet, micro_mixed, micro_resnet};
 use pbqp_dnn::primitives::registry::{full_library, mixed_precision_library, Registry};
-use pbqp_dnn::runtime::{Executor, Parallelism, Weights};
+use pbqp_dnn::runtime::{BatchBuffers, Parallelism, Schedule, Weights};
 use pbqp_dnn::select::{Optimizer, Strategy};
 use pbqp_dnn::tensor::{Layout, Tensor};
 
@@ -89,20 +90,25 @@ fn steady_state_serving_performs_zero_heap_allocations() {
     for strategy in [Strategy::Pbqp, Strategy::CaffeLike, Strategy::VendorLike { vector_width: 8 }]
     {
         let plan = opt.plan(&net, strategy).expect("plans");
-        let exec = Executor::new(&net, &plan, &reg, &weights);
+        let schedule = Schedule::compile(&net, &plan, &reg, &weights).expect("compiles");
+        let mut bufs = schedule.make_buffers();
+        let mut batch_bufs = BatchBuffers::new();
         let mut out = Tensor::empty();
-        let mut outs = Vec::new();
+        let mut outs = vec![Tensor::empty(); inputs.len()];
+        let serial = Parallelism::serial();
 
-        // Warmup: compiles the schedule, builds the pooled buffers and
-        // settles every arena watermark and output capacity.
-        let expected = exec.run(&input, 1).expect("warmup run");
-        exec.run_into(&input, &mut out, 1).expect("warmup run_into");
-        exec.run_batch_into(&inputs, &mut outs, Parallelism::serial()).expect("warmup batch");
+        // Warmup: builds the pooled buffers and settles every arena
+        // watermark and output capacity.
+        let expected = schedule.run(&input, serial).expect("warmup run");
+        schedule.run_into(&input, &mut bufs, &mut out, serial).expect("warmup run_into");
+        schedule
+            .run_batch_fused_into(&inputs, &mut batch_bufs, &mut outs, 1)
+            .expect("warmup batch");
 
         // Steady state: repeated single-input serving.
         let before = allocs();
         for _ in 0..5 {
-            exec.run_into(&input, &mut out, 1).expect("steady run_into");
+            schedule.run_into(&input, &mut bufs, &mut out, serial).expect("steady run_into");
         }
         let run_allocs = allocs() - before;
         assert_eq!(
@@ -112,37 +118,24 @@ fn steady_state_serving_performs_zero_heap_allocations() {
             strategy.label()
         );
 
-        // Steady state: repeated batch serving (serial mode — thread
-        // fan-out necessarily allocates stacks, so it is exercised by the
-        // equivalence suite instead).
+        // Steady state: repeated fused batch serving.
         let before = allocs();
         for _ in 0..3 {
-            exec.run_batch_into(&inputs, &mut outs, Parallelism::serial())
-                .expect("steady run_batch_into");
+            schedule
+                .run_batch_fused_into(&inputs, &mut batch_bufs, &mut outs, 1)
+                .expect("steady run_batch_fused_into");
         }
         let batch_allocs = allocs() - before;
         assert_eq!(
             batch_allocs,
             0,
-            "{}: {batch_allocs} allocations across 3 steady-state run_batch_into calls",
+            "{}: {batch_allocs} allocations across 3 steady-state run_batch_fused_into calls",
             strategy.label()
         );
 
         // The allocation-free path must still compute the right answer.
         assert_eq!(out.data(), expected.data(), "{}", strategy.label());
         assert_eq!(out.dims(), expected.dims());
-
-        // The allocating convenience wrapper stays cheap: its only
-        // steady-state heap traffic is the returned output tensor.
-        let before = allocs();
-        let fresh = exec.run(&input, 1).expect("steady run");
-        let wrapper_allocs = allocs() - before;
-        assert!(
-            wrapper_allocs <= 2,
-            "{}: plain run should only allocate its output, saw {wrapper_allocs}",
-            strategy.label()
-        );
-        assert_eq!(fresh.data(), expected.data());
     }
 
     // Mixed precision: the int8 path (quantize edge → int8 conv with
@@ -160,15 +153,17 @@ fn steady_state_serving_performs_zero_heap_allocations() {
         "precondition: the mixed plan must contain an int8 layer with quant/dequant edges\n{plan}"
     );
     let weights = Weights::random(&net, 0x1817);
-    let exec = Executor::new(&net, &plan, &reg, &weights);
+    let schedule = Schedule::compile(&net, &plan, &reg, &weights).expect("compiles");
+    let mut bufs = schedule.make_buffers();
     let input = Tensor::random(16, 20, 20, Layout::Chw, 77);
     let mut out = Tensor::empty();
-    let expected = exec.run(&input, 1).expect("warmup run");
-    exec.run_into(&input, &mut out, 1).expect("warmup run_into");
+    let serial = Parallelism::serial();
+    let expected = schedule.run(&input, serial).expect("warmup run");
+    schedule.run_into(&input, &mut bufs, &mut out, serial).expect("warmup run_into");
 
     let before = allocs();
     for _ in 0..5 {
-        exec.run_into(&input, &mut out, 1).expect("steady run_into");
+        schedule.run_into(&input, &mut bufs, &mut out, serial).expect("steady run_into");
     }
     let run_allocs = allocs() - before;
     assert_eq!(
@@ -179,7 +174,7 @@ fn steady_state_serving_performs_zero_heap_allocations() {
 
     // ---- The front door upholds the same contract -----------------------
     // Compiler → CompiledModel → Engine → Session: a warmed session's
-    // `infer` / `infer_batch` must be allocation-free too, for a plain
+    // `infer` / `infer_batch_into` must be allocation-free too, for a plain
     // f32 model and for a mixed-precision one loaded from artifact bytes
     // (the shippable-plan path, complete with restored int8 weight
     // images).
@@ -243,11 +238,11 @@ fn steady_state_serving_performs_zero_heap_allocations() {
         let inputs: Vec<Tensor> =
             (0..3).map(|i| Tensor::random(c, h, w, Layout::Chw, 0xB0 + i)).collect();
         let mut out = Tensor::empty();
-        let mut outs = Vec::new();
+        let mut outs = vec![Tensor::empty(); inputs.len()];
 
         // Warmup settles the session's buffers and output capacities.
         session.infer(&input, &mut out).expect("warmup infer");
-        session.infer_batch(&inputs, &mut outs).expect("warmup infer_batch");
+        session.infer_batch_into(&inputs, &mut outs).expect("warmup infer_batch_into");
         let expected = engine.infer(&input).expect("reference");
 
         let before = allocs();
@@ -262,12 +257,12 @@ fn steady_state_serving_performs_zero_heap_allocations() {
 
         let before = allocs();
         for _ in 0..3 {
-            session.infer_batch(&inputs, &mut outs).expect("steady infer_batch");
+            session.infer_batch_into(&inputs, &mut outs).expect("steady infer_batch_into");
         }
         let batch_allocs = allocs() - before;
         assert_eq!(
             batch_allocs, 0,
-            "{label}: {batch_allocs} allocations across 3 steady-state Session::infer_batch calls"
+            "{label}: {batch_allocs} allocations across 3 steady-state Session::infer_batch_into calls"
         );
 
         // The gateway's flush path: caller-owned output slots through
@@ -287,6 +282,17 @@ fn steady_state_serving_performs_zero_heap_allocations() {
 
         assert_eq!(out.data(), expected.data(), "{label}: zero-alloc path must stay correct");
 
+        // The allocating convenience wrapper stays cheap: its only
+        // steady-state heap traffic is the returned output tensor.
+        let before = allocs();
+        let fresh = session.infer_new(&input).expect("steady infer_new");
+        let wrapper_allocs = allocs() - before;
+        assert!(
+            wrapper_allocs <= 2,
+            "{label}: infer_new should only allocate its output, saw {wrapper_allocs}"
+        );
+        assert_eq!(fresh.data(), expected.data());
+
         // Fused batching must not cost bit-exactness: every batch slot
         // matches serving that input alone.
         for (input, batched) in inputs.iter().zip(&outs) {
@@ -301,7 +307,7 @@ fn steady_state_serving_performs_zero_heap_allocations() {
 
     // ---- Failpoints cost nothing unless they fire -----------------------
     // The serving path is instrumented with fault-injection sites
-    // (kernel dispatch, quant edges, buffer checkout). Disarmed, each is
+    // (kernel dispatch, quant edges). Disarmed, each is
     // one relaxed atomic load — the zero-allocation assertions above
     // already ran through them. Stronger: even with an *unrelated* site
     // armed (so every probe takes the registry-lookup slow path), a

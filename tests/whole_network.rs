@@ -6,7 +6,7 @@ use pbqp_dnn_cost::{AnalyticCost, MachineModel};
 use pbqp_dnn_graph::models::{micro_alexnet, micro_inception, micro_resnet};
 use pbqp_dnn_graph::DnnGraph;
 use pbqp_dnn_primitives::registry::{full_library, Registry};
-use pbqp_dnn_runtime::{reference_forward, Executor, Weights};
+use pbqp_dnn_runtime::{reference_forward, Parallelism, Schedule, Weights};
 use pbqp_dnn_select::{Optimizer, Strategy};
 use pbqp_dnn_tensor::{Layout, Tensor};
 
@@ -35,8 +35,8 @@ fn check_network(name: &str, net: &DnnGraph, machine: MachineModel) {
 
     for strategy in all_strategies() {
         let plan = opt.plan(net, strategy).unwrap_or_else(|e| panic!("{name}/{strategy:?}: {e}"));
-        let out = Executor::new(net, &plan, &reg, &weights)
-            .run(&input, 2)
+        let out = Schedule::compile(net, &plan, &reg, &weights)
+            .and_then(|s| s.run(&input, Parallelism::serial().with_intra_op(2)))
             .unwrap_or_else(|e| panic!("{name}/{strategy:?}: {e}"));
         let diff = out.max_abs_diff(&oracle).unwrap();
         assert!(diff < 1e-2, "{name}/{}: diff {diff}", strategy.label());
@@ -69,11 +69,11 @@ fn micro_resnet_all_strategies_compute_the_network_function() {
 /// int8-island plan (conv → relu → pool → conv quantized end to end, no
 /// interior conversions) computes the network function within the
 /// quantization budget and is executed **bit-identically** by the serial
-/// executor, the wavefront scheduler and the front door's
+/// schedule, the wavefront scheduler and the front door's
 /// `Session::infer`.
 #[test]
 fn int8_island_plan_executes_bit_identically_across_all_paths() {
-    use pbqp_dnn::prelude::{CompileOptions, Compiler, Parallelism};
+    use pbqp_dnn::prelude::{CompileOptions, Compiler};
     use pbqp_dnn_primitives::registry::mixed_precision_library;
 
     let net = micro_resnet();
@@ -87,8 +87,8 @@ fn int8_island_plan_executes_bit_identically_across_all_paths() {
 
     let weights = Weights::random(&net, 0x7E57);
     let input = Tensor::random(16, 48, 48, Layout::Chw, 0x1D);
-    let exec = Executor::new(&net, &plan, &reg, &weights);
-    let serial = exec.run(&input, 1).unwrap();
+    let schedule = Schedule::compile(&net, &plan, &reg, &weights).unwrap();
+    let serial = schedule.run(&input, Parallelism::serial()).unwrap();
 
     // Quantization error budget against the f32 oracle: the stem is
     // int8, the residual block and head are f32.
@@ -98,9 +98,9 @@ fn int8_island_plan_executes_bit_identically_across_all_paths() {
     assert!(diff < 0.05 * maxabs + 0.05, "diff {diff} vs maxabs {maxabs}");
 
     // Wavefront and intra-op threading never change a bit.
-    let wave = exec.run_with(&input, Parallelism::serial().with_inter_op(4)).unwrap();
+    let wave = schedule.run(&input, Parallelism::serial().with_inter_op(4)).unwrap();
     assert_eq!(wave.data(), serial.data(), "wavefront diverged");
-    let threaded = exec.run(&input, 4).unwrap();
+    let threaded = schedule.run(&input, Parallelism::serial().with_intra_op(4)).unwrap();
     assert_eq!(threaded.data(), serial.data(), "intra-op threading diverged");
 
     // The front door serves the same plan bit-identically.
@@ -134,9 +134,10 @@ fn pbqp_plan_quality_dominates_on_the_micro_networks() {
 #[test]
 fn front_door_engine_matches_the_low_level_executor_bit_for_bit() {
     // The Engine/Session surface is a repackaging of the same compiled
-    // schedule the Executor runs — outputs must agree exactly, for every
-    // strategy and for wavefront parallelism, on both micro networks.
-    use pbqp_dnn::prelude::{CompileOptions, Compiler, Parallelism};
+    // schedule a hand-built plan compiles to — outputs must agree exactly,
+    // for every strategy and for wavefront parallelism, on both micro
+    // networks.
+    use pbqp_dnn::prelude::{CompileOptions, Compiler};
 
     for net in [micro_alexnet(), micro_inception()] {
         let reg = Registry::new(full_library());
@@ -149,7 +150,9 @@ fn front_door_engine_matches_the_low_level_executor_bit_for_bit() {
             [Strategy::Pbqp, Strategy::CaffeLike, Strategy::VendorLike { vector_width: 8 }]
         {
             let plan = opt.plan(&net, strategy).unwrap();
-            let low_level = Executor::new(&net, &plan, &reg, &weights).run(&input, 1).unwrap();
+            let low_level = Schedule::compile(&net, &plan, &reg, &weights)
+                .and_then(|s| s.run(&input, Parallelism::serial()))
+                .unwrap();
 
             let model = Compiler::new(CompileOptions::new().strategy(strategy))
                 .compile(&net, &weights)
@@ -180,7 +183,8 @@ fn transform_chains_in_executed_plans_are_exact() {
     let plan = opt.plan(&net, Strategy::VendorLike { vector_width: 8 }).unwrap();
     let weights = Weights::random(&net, 3);
     let input = Tensor::random(8, 14, 14, Layout::Chw, 4);
-    let out = Executor::new(&net, &plan, &reg, &weights).run(&input, 1).unwrap();
+    let schedule = Schedule::compile(&net, &plan, &reg, &weights).unwrap();
+    let out = schedule.run(&input, Parallelism::serial()).unwrap();
     let oracle = reference_forward(&net, &weights, &input);
     assert!(out.allclose(&oracle, 1e-3).unwrap());
 }
